@@ -152,7 +152,7 @@ func Predict(src string, target *Target) (*Prediction, error) {
 // PredictWithOptions exposes the aggregation knobs (back-end
 // imitation flags, focus span, steady-state drops, branch heuristics).
 func PredictWithOptions(src string, target *Target, opt aggregate.Options) (*Prediction, error) {
-	return predictWithCache(src, target, opt, nil)
+	return predictWithCache(context.Background(), src, target, opt, nil)
 }
 
 // EvalAt substitutes concrete values for the unknowns and returns

@@ -47,11 +47,12 @@ func PredictBatch(srcs []string, target *Target, opt BatchOptions) ([]*Predictio
 }
 
 // PredictBatchCtx is PredictBatch under a context: once ctx is done,
-// workers stop picking up further programs (the one each worker is
-// pricing finishes), and every program that never ran gets a nil
-// prediction with ctx.Err() in its error slot. Programs that did
-// complete keep their results, so partial batches remain usable and
-// are still byte-identical to serial pricing of the same indices.
+// workers stop picking up further programs, the program each worker is
+// pricing stops within one aggregation stride (see PredictCtx) with
+// ctx.Err() in its error slot, and every program that never ran gets
+// a nil prediction with ctx.Err() as well. Programs that did complete
+// keep their results, so partial batches remain usable and are still
+// byte-identical to serial pricing of the same indices.
 func PredictBatchCtx(ctx context.Context, srcs []string, target *Target, opt BatchOptions) ([]*Prediction, []error) {
 	preds := make([]*Prediction, len(srcs))
 	errs := make([]error, len(srcs))
@@ -67,7 +68,7 @@ func PredictBatchCtx(ctx context.Context, srcs []string, target *Target, opt Bat
 		cache = NewSegmentCache()
 	}
 	if err := workpool.RunCtx(ctx, len(srcs), opt.Workers, func(i int) {
-		preds[i], errs[i] = predictWithCache(srcs[i], target, aopt, cache)
+		preds[i], errs[i] = predictWithCache(ctx, srcs[i], target, aopt, cache)
 	}); err != nil {
 		// predictWithCache always fills exactly one slot, so a
 		// both-nil pair marks an index the cancelled pool never ran.
@@ -81,8 +82,8 @@ func PredictBatchCtx(ctx context.Context, srcs []string, target *Target, opt Bat
 }
 
 // predictWithCache is the cache-aware core of Predict and
-// PredictWithOptions: parse, analyze, aggregate.
-func predictWithCache(src string, target *Target, opt aggregate.Options, cache *SegmentCache) (*Prediction, error) {
+// PredictWithOptions: parse, analyze, aggregate under ctx.
+func predictWithCache(ctx context.Context, src string, target *Target, opt aggregate.Options, cache *SegmentCache) (*Prediction, error) {
 	prog, err := source.Parse(src)
 	if err != nil {
 		return nil, err
@@ -92,7 +93,7 @@ func predictWithCache(src string, target *Target, opt aggregate.Options, cache *
 		return nil, err
 	}
 	est := aggregate.NewWithCache(tbl, target, opt, cache)
-	res, err := est.Program(prog)
+	res, err := est.ProgramCtx(ctx, prog)
 	if err != nil {
 		return nil, err
 	}

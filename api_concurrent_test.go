@@ -1,6 +1,7 @@
 package perfpredict
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -61,7 +62,7 @@ func TestPredictConcurrent(t *testing.T) {
 			go func(g int) {
 				defer wg.Done()
 				for i, src := range srcs {
-					results[g][i], errors[g][i] = predictWithCache(src, target, aggregate.DefaultOptions(), cache)
+					results[g][i], errors[g][i] = predictWithCache(context.Background(), src, target, aggregate.DefaultOptions(), cache)
 				}
 			}(g)
 		}

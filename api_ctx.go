@@ -24,9 +24,11 @@ type PredictOptions struct {
 }
 
 // PredictCtx is Predict under a context with service-grade knobs: the
-// single-program form of PredictBatchCtx. ctx is checked before the
-// (uninterruptible, milliseconds-scale) parse/analyze/aggregate
-// pipeline runs.
+// single-program form of PredictBatchCtx. ctx is checked before
+// parsing and then polled by the aggregator every few dozen statements
+// and loop units, so pricing a long program stops with ctx.Err()
+// shortly after ctx is done. Parsing, analysis and the lowering of one
+// straight-line run are not interrupted.
 func PredictCtx(ctx context.Context, src string, target *Target, opt PredictOptions) (*Prediction, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -35,7 +37,7 @@ func PredictCtx(ctx context.Context, src string, target *Target, opt PredictOpti
 	if opt.Aggregate != nil {
 		aopt = *opt.Aggregate
 	}
-	return predictWithCache(src, target, aopt, opt.Cache)
+	return predictWithCache(ctx, src, target, aopt, opt.Cache)
 }
 
 // NestCache memoizes whole loop-nest pricings across transformation

@@ -9,6 +9,7 @@
 package aggregate
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -207,6 +208,29 @@ type Estimator struct {
 	machKey string             // machFP rendered for textual segment keys
 	keyFP   source.Fingerprint // machine + options
 	auxFP   source.Fingerprint // keyFP + whole-program environment
+
+	// ctx is the context of the ProgramCtx call in progress (nil
+	// outside one). work counts the statements and loop units priced
+	// so far; tick polls ctx as it grows.
+	ctx  context.Context
+	work int
+}
+
+// ctxCheckStride is how many statements and loop units run between
+// context polls. One unit of a long loop sequence prices in tens of
+// microseconds, so a deadline lands within about a millisecond, while
+// the poll (one mutex-guarded read) stays invisible in the unit rate.
+const ctxCheckStride = 32
+
+// tick counts n units of pricing work and, whenever the count crosses
+// a multiple of ctxCheckStride, reports ctx.Err().
+func (e *Estimator) tick(n int) error {
+	before := e.work
+	e.work += n
+	if e.ctx == nil || before/ctxCheckStride == e.work/ctxCheckStride {
+		return nil
+	}
+	return e.ctx.Err()
 }
 
 // New creates an estimator with a private segment cache.
@@ -249,6 +273,17 @@ func NewWithCache(tbl *sem.Table, m *machine.Machine, opt Options, cache *SegCac
 
 // Program aggregates the whole program body.
 func (e *Estimator) Program(p *source.Program) (Result, error) {
+	return e.ProgramCtx(context.Background(), p)
+}
+
+// ProgramCtx is Program under a context: ctx is polled every
+// ctxCheckStride statements and loop units (see tick), so a long body
+// stops with ctx.Err() within one stride of the deadline instead of
+// running to the end. A straight-line run is one lowering call and is
+// never interrupted.
+func (e *Estimator) ProgramCtx(ctx context.Context, p *source.Program) (Result, error) {
+	e.ctx, e.work = ctx, 0
+	defer func() { e.ctx = nil }()
 	e.preVals = e.preVals[:0]
 	e.unknowns = nil
 	e.seen = map[symexpr.Var]bool{}
@@ -262,16 +297,23 @@ func (e *Estimator) Program(p *source.Program) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	return e.result(c), nil
+}
+
+// result folds a top-level cost into a Result: the base, entry and
+// one-time costs plus every guarded term that survived.
+func (e *Estimator) result(c cost) Result {
 	pre := e.prePoly()
-	total := c.base.Add(c.entry).Add(pre)
+	total := c.base.Add(c.entry) // a fresh table, owned here
+	total.AddInPlace(pre)
 	for _, g := range c.guarded {
 		// Guards that survive to the top level (no enclosing loop over
 		// their variable) degrade to probability-like unknowns: keep
 		// the term weighted by nothing — the guard variable is a free
 		// unknown, so conservatively include the term fully.
-		total = total.Add(g.poly)
+		total.AddInPlace(g.poly)
 	}
-	return Result{Cost: total, OneTime: pre, Memory: c.mem, Unknowns: e.unknowns}, nil
+	return Result{Cost: total, OneTime: pre, Memory: c.mem, Unknowns: e.unknowns}
 }
 
 // Stmts aggregates a statement list under the given enclosing loops
@@ -289,12 +331,7 @@ func (e *Estimator) Stmts(stmts []source.Stmt, loops []LoopCtx) (Result, error) 
 	if err != nil {
 		return Result{}, err
 	}
-	pre := e.prePoly()
-	total := c.base.Add(c.entry).Add(pre)
-	for _, g := range c.guarded {
-		total = total.Add(g.poly)
-	}
-	return Result{Cost: total, OneTime: pre, Memory: c.mem, Unknowns: e.unknowns}, nil
+	return e.result(c), nil
 }
 
 // LoopCtx describes one enclosing loop for fragment-level estimation.
@@ -327,20 +364,23 @@ type guardedTerm struct {
 	poly    symexpr.Poly   // active cost when the guard holds
 }
 
-func (c cost) add(d cost) cost {
-	return cost{
-		base:    c.base.Add(d.base),
-		entry:   c.entry.Add(d.entry),
-		mem:     c.mem.Add(d.mem),
-		guarded: append(append([]guardedTerm{}, c.guarded...), d.guarded...),
-	}
+// accumulate adds d into c in place. c must be a running sum owned by
+// the caller, grown from the zero cost: its polynomials are extended
+// through symexpr's in-place add and its guarded list by append, so a
+// list of k statements costs the size of their costs, not k copies of
+// the growing sum.
+func (c *cost) accumulate(d cost) {
+	c.base.AddInPlace(d.base)
+	c.entry.AddInPlace(d.entry)
+	c.mem.AddInPlace(d.mem)
+	c.guarded = append(c.guarded, d.guarded...)
 }
 
 // stmts aggregates a statement list. path is the xform.Path-style
 // address of the list (nil inside regions paths cannot address, such
 // as IF branches); it positions loop nests for the nest cache.
 func (e *Estimator) stmts(list []source.Stmt, loops []LoopCtx, path []int) (cost, error) {
-	total := cost{base: symexpr.Zero(), entry: symexpr.Zero()}
+	var total cost
 	i := 0
 	loopVars := make([]string, len(loops))
 	for k, l := range loops {
@@ -351,12 +391,15 @@ func (e *Estimator) stmts(list []source.Stmt, loops []LoopCtx, path []int) (cost
 		for j < len(list) && isStraight(list[j]) && !e.isLibCall(list[j]) {
 			j++
 		}
+		if err := e.tick(max(j-i, 1)); err != nil {
+			return cost{}, err
+		}
 		if j > i {
 			c, err := e.straight(list[i:j], loopVars, len(loops) > 0)
 			if err != nil {
 				return cost{}, err
 			}
-			total = total.add(c)
+			total.accumulate(c)
 			i = j
 			continue
 		}
@@ -367,7 +410,7 @@ func (e *Estimator) stmts(list []source.Stmt, loops []LoopCtx, path []int) (cost
 			}
 			if resolved {
 				linkage := float64(e.m.Latency(ir.OpCall))
-				total = total.add(cost{base: libCost.AddConst(linkage), entry: symexpr.Zero()})
+				total.accumulate(cost{base: libCost.AddConst(linkage)})
 				i++
 				continue
 			}
@@ -378,13 +421,13 @@ func (e *Estimator) stmts(list []source.Stmt, loops []LoopCtx, path []int) (cost
 			if err != nil {
 				return cost{}, err
 			}
-			total = total.add(c)
+			total.accumulate(c)
 		case *source.IfStmt:
 			c, err := e.ifStmt(x, loops)
 			if err != nil {
 				return cost{}, err
 			}
-			total = total.add(c)
+			total.accumulate(c)
 		case *source.ReturnStmt:
 			return total, nil
 		default:

@@ -123,6 +123,36 @@ func (b *Block) MaxReg() Reg {
 	return max
 }
 
+// RegRange returns the lowest and highest register numbers the block
+// reads or defines, or (NoReg, NoReg) for none; the Dst of an op
+// without a result is not a register and is ignored. Lowering numbers
+// registers program-wide, so a block's range, not its highest number,
+// measures its register use.
+func (b *Block) RegRange() (lo, hi Reg) {
+	lo, hi = NoReg, NoReg
+	note := func(r Reg) {
+		if r < 0 {
+			return
+		}
+		if lo < 0 || r < lo {
+			lo = r
+		}
+		if r > hi {
+			hi = r
+		}
+	}
+	for i := range b.Instrs {
+		in := &b.Instrs[i]
+		if in.Op.HasDst() {
+			note(in.Dst)
+		}
+		for _, s := range in.Srcs {
+			note(s)
+		}
+	}
+	return lo, hi
+}
+
 // Deps computes, for each instruction, the indices of earlier
 // instructions it must wait for:
 //
@@ -152,20 +182,27 @@ type DepsBuf struct {
 // alias buf's arena and are valid until the next DepsInto call with the
 // same buf; a nil buf allocates fresh storage (identical to Deps).
 func (b *Block) DepsInto(mayAlias bool, buf *DepsBuf) [][]int {
-	n := len(b.Instrs)
 	sc := depsPool.Get().(*depsScratch)
 	defer depsPool.Put(sc)
+	return b.depsWith(sc, mayAlias, buf)
+}
+
+// depsWith is DepsInto on an explicit scratch. Its work is
+// O(len(b.Instrs) + def span + edges): nothing in it depends on
+// the absolute register numbers, which lowering assigns program-wide.
+func (b *Block) depsWith(sc *depsScratch, mayAlias bool, buf *DepsBuf) [][]int {
+	n := len(b.Instrs)
 	sc.reset()
+	lo := sc.resetDefs(b.Instrs)
 
 	for i := range b.Instrs {
 		in := &b.Instrs[i]
 		for _, s := range in.Srcs {
-			// A source at or past the def table's extent has no recorded
-			// producer (the table grows only when a def is seen).
-			if s < 0 || int(s) >= len(sc.def) {
+			// A source outside the block's def span has no producer here.
+			if s < lo || int(s-lo) >= len(sc.def) {
 				continue
 			}
-			if p := sc.def[s]; p >= 0 {
+			if p := sc.def[s-lo]; p >= 0 {
 				sc.add(i, p)
 			}
 		}
@@ -219,10 +256,7 @@ func (b *Block) DepsInto(mayAlias bool, buf *DepsBuf) [][]int {
 			}
 		}
 		if in.Op.HasDst() && in.Dst >= 0 {
-			for len(sc.def) <= int(in.Dst) {
-				sc.def = append(sc.def, -1)
-			}
-			sc.def[in.Dst] = i
+			sc.def[in.Dst-lo] = i
 		}
 	}
 
@@ -281,10 +315,11 @@ type depEdge struct{ i, j int }
 // map operation per table per access.
 type depsScratch struct {
 	edges []depEdge
-	// def maps reg -> defining instr index (-1 if none). It grows
-	// lazily to the highest reg actually defined, so huge or sparse
-	// register numbers cost nothing and no up-front MaxReg pass is
-	// needed.
+	// def maps reg-lo -> defining instr index (-1 if none), where lo
+	// is the lowest register the block defines. It spans only the
+	// block's own defs: lowering numbers registers program-wide, so a
+	// table indexed by absolute register would cost every block O(size
+	// of the program lowered before it).
 	def []int
 
 	// The intern table persists across blocks (address strings repeat
@@ -311,7 +346,6 @@ var depsPool = sync.Pool{New: func() any { return new(depsScratch) }}
 
 func (sc *depsScratch) reset() {
 	sc.edges = sc.edges[:0]
-	sc.def = sc.def[:0]
 	if sc.ids == nil || len(sc.ids) > depsMaxInterned {
 		// The id-indexed slices stay at high-water length: restarted ids
 		// land on stale slots, which the generation check re-initializes.
@@ -324,6 +358,37 @@ func (sc *depsScratch) reset() {
 		}
 		sc.curGen = 1
 	}
+}
+
+// resetDefs sizes def to the span of the registers instrs define, all
+// -1, and returns the lowest one (0 when nothing is defined).
+func (sc *depsScratch) resetDefs(instrs []Instr) Reg {
+	lo, hi := NoReg, NoReg
+	for i := range instrs {
+		in := &instrs[i]
+		if !in.Op.HasDst() || in.Dst < 0 {
+			continue
+		}
+		if lo < 0 || in.Dst < lo {
+			lo = in.Dst
+		}
+		if in.Dst > hi {
+			hi = in.Dst
+		}
+	}
+	if hi < 0 {
+		sc.def = sc.def[:0]
+		return 0
+	}
+	span := int(hi-lo) + 1
+	if cap(sc.def) < span {
+		sc.def = make([]int, span)
+	}
+	sc.def = sc.def[:span]
+	for i := range sc.def {
+		sc.def[i] = -1
+	}
+	return lo
 }
 
 // intern returns the dense id of s, assigning the next one on first

@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -236,5 +237,34 @@ func TestParseOpRejectsTable(t *testing.T) {
 				t.Errorf("ParseOp(%q) = %v, true; want rejection", tc.in, op)
 			}
 		})
+	}
+}
+
+// Lowering numbers registers program-wide, so a block late in a long
+// program reads and defines registers far from zero. Its dependence
+// scratch must be sized by the block's own register span, not by the
+// absolute numbers, and the edges must not depend on the offset.
+func TestDepsScratchSizedBySpan(t *testing.T) {
+	build := func(base Reg) *Block {
+		b := &Block{}
+		b.Append(Instr{Op: OpFLoad, Dst: base, Addr: "a(i)", Base: "a"})
+		b.Append(Instr{Op: OpFLoad, Dst: base + 1, Addr: "b(i)", Base: "b"})
+		b.Append(Instr{Op: OpFAdd, Dst: base + 2, Srcs: []Reg{base, base + 1}})
+		b.Append(Instr{Op: OpFMul, Dst: base + 3, Srcs: []Reg{base + 2, 7}}) // 7: defined elsewhere
+		b.Append(Instr{Op: OpFStore, Srcs: []Reg{base + 3}, Addr: "a(i)", Base: "a"})
+		return b
+	}
+	want := build(0).Deps(true)
+	b := build(1 << 20)
+	sc := new(depsScratch)
+	got := b.depsWith(sc, true, nil)
+	if lo, hi := b.RegRange(); lo != 7 || hi != 1<<20+3 {
+		t.Errorf("RegRange = %d..%d, want 7..%d", lo, hi, 1<<20+3)
+	}
+	if span := 4; len(sc.def) > span || cap(sc.def) > span {
+		t.Errorf("def table len %d cap %d, want ≤ the block's def span %d", len(sc.def), cap(sc.def), span)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("deps at offset 1<<20 = %v, want %v", got, want)
 	}
 }

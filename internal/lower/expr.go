@@ -33,7 +33,7 @@ func (tr *Translator) expr(e source.Expr) (ir.Reg, source.Type, error) {
 		if hoist {
 			tr.preCSE[key] = r
 		} else {
-			tr.cse[key] = r
+			tr.setCSE(key, r)
 		}
 	}
 	return r, ty, nil

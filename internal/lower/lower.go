@@ -96,8 +96,16 @@ type Translator struct {
 	opt Options
 
 	nextReg ir.Reg
-	// cse maps expression keys to the register holding their value.
-	cse map[string]ir.Reg
+	// cse maps expression keys to the register holding their value;
+	// set it only through setCSE. cseIdx indexes it for killCSE by
+	// mention token: "[x(" or "[x]" for every location base x a key
+	// loads from (see mentions). A key present in cse is listed under
+	// each of its tokens, and killing a token deletes its whole bucket,
+	// so a store touches only the entries it invalidates. cseProbes
+	// counts the keys killCSE has examined.
+	cse       map[string]ir.Reg
+	cseIdx    map[string][]string
+	cseProbes int
 	// preCSE is the preheader's value map (survives body resets).
 	preCSE map[string]ir.Reg
 
@@ -233,7 +241,7 @@ func (tr *Translator) reset(loopVars []string) {
 	tr.pre = &ir.Block{}
 	tr.perEntry = &ir.Block{}
 	tr.post = &ir.Block{}
-	tr.cse = map[string]ir.Reg{}
+	tr.clearCSE()
 	tr.preCSE = map[string]ir.Reg{}
 	tr.loadCount = 0
 	tr.loopVars = map[string]bool{}
@@ -564,7 +572,7 @@ func (tr *Translator) store(ty source.Type, val ir.Reg, addr, base string, addrR
 	if info, ok := tr.promotable[addr]; ok {
 		tr.promotedStore(addr, info, val, refID)
 		tr.killCSE(addr, base)
-		tr.cse[loadKey(addr)] = val
+		tr.setCSE(loadKey(addr), val)
 		return
 	}
 	op := ir.OpFStore
@@ -575,16 +583,66 @@ func (tr *Translator) store(ty source.Type, val ir.Reg, addr, base string, addrR
 	tr.body.Append(ir.Instr{Op: op, Srcs: srcs, Addr: addr, Base: base, RefID: refID})
 	tr.killCSE(addr, base)
 	// Store-to-load forwarding.
-	tr.cse[loadKey(addr)] = val
+	tr.setCSE(loadKey(addr), val)
 }
 
-// killCSE drops CSE entries that depend on the stored location.
+// setCSE records that key's value lives in r, indexing a new key under
+// its mention tokens.
+func (tr *Translator) setCSE(key string, r ir.Reg) {
+	if _, ok := tr.cse[key]; !ok {
+		mentions(key, func(tok string) {
+			tr.cseIdx[tok] = append(tr.cseIdx[tok], key)
+		})
+	}
+	tr.cse[key] = r
+}
+
+// clearCSE forgets every CSE entry.
+func (tr *Translator) clearCSE() {
+	tr.cse = map[string]ir.Reg{}
+	tr.cseIdx = map[string][]string{}
+}
+
+// killCSE drops the CSE entries that depend on the stored location:
+// exactly the keys containing "[addr]" or "[base(". A scalar's addr is
+// its base, and an array element's addr is base + "(subscripts)", so
+// "[addr]" can only occur inside "[base(" and the scalar's "[base]"
+// bucket is the one extra token to kill.
 func (tr *Translator) killCSE(addr, base string) {
-	needle := "[" + addr + "]"
-	baseNeedle := "[" + base + "("
-	for k := range tr.cse {
-		if strings.Contains(k, needle) || strings.Contains(k, baseNeedle) {
-			delete(tr.cse, k)
+	tr.killToken("[" + base + "(")
+	if addr == base {
+		tr.killToken("[" + base + "]")
+	}
+}
+
+// killToken deletes every entry indexed under tok. A bucket may list
+// keys already deleted through another of their tokens; deleting them
+// again is a no-op.
+func (tr *Translator) killToken(tok string) {
+	for _, k := range tr.cseIdx[tok] {
+		tr.cseProbes++
+		delete(tr.cse, k)
+	}
+	delete(tr.cseIdx, tok)
+}
+
+// mentions calls fn with each location token of a CSE key: for every
+// '[' in key, the text from it through the first following '(' or ']',
+// provided no other bracket comes first. Location names contain no
+// brackets, so a key contains "[x(" or "[x]" exactly when mentions
+// yields that token.
+func mentions(key string, fn func(tok string)) {
+	for p := 0; p < len(key); p++ {
+		if key[p] != '[' {
+			continue
+		}
+		for q := p + 1; q < len(key); q++ {
+			if c := key[q]; c == '(' || c == ']' {
+				fn(key[p : q+1])
+				break
+			} else if c == '[' || c == ')' {
+				break
+			}
 		}
 	}
 }
@@ -621,7 +679,7 @@ func (tr *Translator) call(c *source.CallStmt) error {
 	}
 	tr.body.Append(ir.Instr{Op: ir.OpCall, Dst: tr.newReg(), Callee: c.Name})
 	// A call clobbers all memory-derived values.
-	tr.cse = map[string]ir.Reg{}
+	tr.clearCSE()
 	return nil
 }
 

@@ -129,6 +129,20 @@ func TestGenProgramParses(t *testing.T) {
 	}
 }
 
+func TestLongShapesParse(t *testing.T) {
+	for seed := int64(0); seed < 5; seed++ {
+		for _, src := range []string{GenLongStraight(NewRand(seed), 60), GenGuardedLoops(NewRand(seed), 30)} {
+			p, err := source.Parse(src)
+			if err != nil {
+				t.Fatalf("seed %d: parse: %v\n%s", seed, err, src)
+			}
+			if _, err := sem.Analyze(p); err != nil {
+				t.Fatalf("seed %d: analyze: %v\n%s", seed, err, src)
+			}
+		}
+	}
+}
+
 // The same seed must reproduce the same block, spec, and program —
 // the property that makes fuzz failures replayable from a seed.
 func TestDeterminism(t *testing.T) {

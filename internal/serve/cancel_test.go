@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"perfpredict/internal/kernels"
+	"perfpredict/internal/progen"
 )
 
 // optimizeBody builds a deliberately long-running /v1/optimize
@@ -161,5 +162,37 @@ func TestBatchDeadlineReturns504(t *testing.T) {
 	}
 	if er.Error.Code != CodeDeadlineExceeded {
 		t.Errorf("code %q, want %q", er.Error.Code, CodeDeadlineExceeded)
+	}
+}
+
+// TestPredictDeadlineFreesSlot pins deadline handling inside pricing:
+// a 1000-loop body under a 50ms -timeout stops mid-aggregation with a
+// structured 504, and its admission slot is free for the very next
+// request.
+func TestPredictDeadlineFreesSlot(t *testing.T) {
+	s := New(Config{Timeout: 50 * time.Millisecond, MaxInflight: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	long := progen.GenGuardedLoops(progen.NewRand(1), 1000)
+	start := time.Now()
+	status, body := postJSON(t, ts, "/v1/predict", PredictRequest{Source: long, Machine: "POWER1"})
+	elapsed := time.Since(start)
+	if status != http.StatusGatewayTimeout {
+		t.Fatalf("status %d (%.200s), want 504", status, body)
+	}
+	var er ErrorResponse
+	if err := json.Unmarshal(body, &er); err != nil {
+		t.Fatal(err)
+	}
+	if er.Error.Code != CodeDeadlineExceeded {
+		t.Errorf("code %q, want %q", er.Error.Code, CodeDeadlineExceeded)
+	}
+	// Generous ε for loaded CI under -race.
+	if elapsed > 50*time.Millisecond+5*time.Second {
+		t.Errorf("504 took %v for a 50ms deadline", elapsed)
+	}
+	status, body = postJSON(t, ts, "/v1/predict", PredictRequest{Source: "program p\nreal x\nx = 1.0\nend\n"})
+	if status != http.StatusOK {
+		t.Fatalf("next request after the 504: status %d (%s), want 200", status, body)
 	}
 }

@@ -53,7 +53,8 @@ func (m Monomial) totalDegree() int {
 
 // Poly is a multivariate Laurent polynomial with float64 coefficients.
 // The zero value is the zero polynomial. Poly values are immutable:
-// all operations return new polynomials.
+// all operations return new polynomials, except AddInPlace, which
+// extends a running sum its caller owns.
 type Poly struct {
 	// terms maps a monomial key to its term. Coefficients are never
 	// stored as exact zeros.
@@ -183,6 +184,24 @@ func (p Poly) Add(q Poly) Poly {
 		addInto(out.terms, k, t.coeff, t.mono)
 	}
 	return out
+}
+
+// AddInPlace sets p to p + q, reusing p's term table instead of
+// cloning it, so a running sum of k polynomials costs the size of the
+// addends rather than k copies of the sum. p must be owned by the
+// caller — the zero value, or a fresh Add result no other value holds —
+// because Poly values are otherwise immutable and may share tables.
+// Coefficients are exactly those of p.Add(q).
+func (p *Poly) AddInPlace(q Poly) {
+	if len(q.terms) == 0 {
+		return
+	}
+	if p.terms == nil {
+		p.terms = make(map[string]polyTerm, len(q.terms))
+	}
+	for k, t := range q.terms {
+		addInto(p.terms, k, t.coeff, t.mono)
+	}
 }
 
 // Sub returns p − q.

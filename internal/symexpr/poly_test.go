@@ -251,3 +251,29 @@ func TestTermsOrderStable(t *testing.T) {
 		}
 	}
 }
+
+// AddInPlace agrees with Add term for term (including cancellation to
+// zero) and never writes into its addend: growing a sum from the zero
+// value must copy the first addend, not adopt its table.
+func TestAddInPlaceMatchesAdd(t *testing.T) {
+	n, p := NewVar("n"), NewVar("p")
+	parts := []Poly{
+		n.Scale(3).AddConst(1),
+		p.Mul(n).Scale(0.1),
+		Zero(),
+		n.Scale(-3),
+		p.Mul(n).Scale(0.2).AddConst(-1),
+	}
+	first := parts[0].String()
+	var acc, want Poly
+	for _, q := range parts {
+		acc.AddInPlace(q)
+		want = want.Add(q)
+		if acc.String() != want.String() || acc.NumTerms() != want.NumTerms() {
+			t.Fatalf("AddInPlace sum %v (%d terms), Add sum %v (%d terms)", acc, acc.NumTerms(), want, want.NumTerms())
+		}
+	}
+	if parts[0].String() != first {
+		t.Errorf("first addend changed to %v, want %v", parts[0], first)
+	}
+}

@@ -127,7 +127,7 @@ func SelfConcat(cb CostBlock, iters int) (total int, perIter float64) {
 // the innermost basic block into the functional bins multiple times".
 func Replicate(b *ir.Block, iters int) *ir.Block {
 	out := &ir.Block{Label: b.Label}
-	stride := int32(b.MaxReg()) + 1
+	stride := copyStride(b)
 	for it := 0; it < iters; it++ {
 		off := ir.Reg(int32(it) * stride)
 		for _, in := range b.Instrs {
@@ -150,6 +150,14 @@ func Replicate(b *ir.Block, iters int) *ir.Block {
 		}
 	}
 	return out
+}
+
+// copyStride is the register offset between Replicate's copies: the
+// width of b's own register range, so the copies' registers stay as
+// dense as b's however high lowering's program-wide numbering has got.
+func copyStride(b *ir.Block) int32 {
+	lo, hi := b.RegRange()
+	return int32(hi-lo) + 1
 }
 
 func itoa(v int) string {
@@ -183,7 +191,7 @@ func SteadyStateChained(m *machine.Machine, b *ir.Block, opt Options, iters int,
 	}
 	rep := Replicate(b, iters)
 	if len(chain) > 0 {
-		stride := int32(b.MaxReg()) + 1
+		stride := copyStride(b)
 		n := len(b.Instrs)
 		for it := 1; it < iters; it++ {
 			off := ir.Reg(int32(it) * stride)

@@ -450,3 +450,36 @@ func srcReg2(r *rand.Rand, i int) ir.Reg {
 	}
 	return ir.Reg(5000 + r.Intn(30))
 }
+
+// Replicate renames copies by the block's own register range, so the
+// replicated block stays as dense as the original wherever lowering's
+// program-wide numbering placed it, and prices identically.
+func TestReplicateStrideIsLocal(t *testing.T) {
+	build := func(base ir.Reg) *ir.Block {
+		b := &ir.Block{}
+		b.Append(ir.Instr{Op: ir.OpFLoad, Dst: base, Addr: "a(i)", Base: "a"})
+		b.Append(ir.Instr{Op: ir.OpFLoad, Dst: base + 1, Addr: "s", Base: "s"})
+		b.Append(ir.Instr{Op: ir.OpFAdd, Dst: base + 2, Srcs: []ir.Reg{base, base + 1}})
+		b.Append(ir.Instr{Op: ir.OpFStore, Srcs: []ir.Reg{base + 2}, Addr: "s", Base: "s"})
+		return b
+	}
+	m := machine.NewPOWER1()
+	low, high := build(0), build(1<<20)
+	const iters = 4
+	lo, hi := Replicate(high, iters).RegRange()
+	if span := int(hi-lo) + 1; span > iters*3 {
+		t.Errorf("replicated register span %d, want ≤ %d", span, iters*3)
+	}
+	for _, chain := range []map[ir.Reg]ir.Reg{nil, {1: 2}} {
+		highChain := map[ir.Reg]ir.Reg{}
+		for in, out := range chain {
+			highChain[in+1<<20] = out + 1<<20
+		}
+		pl, tl, err1 := SteadyStateChained(m, low, Options{}, iters, chain)
+		ph, th, err2 := SteadyStateChained(m, high, Options{}, iters, highChain)
+		if err1 != nil || err2 != nil || pl != ph || tl != th {
+			t.Errorf("chain %v: steady state at offset 0 = %v/%d (%v), at 1<<20 = %v/%d (%v)",
+				chain, pl, tl, err1, ph, th, err2)
+		}
+	}
+}

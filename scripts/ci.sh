@@ -30,6 +30,12 @@ go run ./cmd/speccheck examples/custom-machine/power2f.json examples/custom-mach
 echo "== go test -race"
 go test -race ./...
 
+echo "== fuzz smoke"
+# Ten seconds of each native fuzz target over an external input
+# surface: F-lite source text and the /v1/predict HTTP body.
+go test -run '^$' -fuzz '^FuzzParseSource$' -fuzztime 10s ./internal/source
+go test -run '^$' -fuzz '^FuzzPredictRequest$' -fuzztime 10s ./internal/serve
+
 echo "== memory model smoke"
 # With the POWER1 hierarchy attached, a streaming (memory-bound)
 # kernel must report a memory cost component and a scalar
