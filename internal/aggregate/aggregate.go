@@ -12,8 +12,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"perfpredict/internal/cachemodel"
 	"perfpredict/internal/ir"
@@ -84,103 +82,6 @@ type Result struct {
 	Unknowns []Unknown
 }
 
-// SegCache memoizes straight-line segment costs across estimations —
-// the mechanism behind the paper's incremental prediction update
-// (§3.3.1): a transformation's *affected region* re-prices only the
-// segments it changed; unchanged segments hit the cache. Share one
-// SegCache across the program variants explored by a transformation
-// search, or across the workers of a batch prediction.
-//
-// A SegCache is safe for concurrent use by multiple goroutines: the
-// entry table is striped over segShards mutex-guarded shards (selected
-// by an FNV-1a hash of the segment key), and the hit/miss counters are
-// atomic. Two estimators missing on the same key concurrently may both
-// price the segment, but the entries they store are identical, so
-// results are deterministic regardless of interleaving.
-type SegCache struct {
-	shards [segShards]segCacheShard
-	hits   atomic.Int64
-	misses atomic.Int64
-}
-
-// segShards is the stripe count: enough to keep contention negligible
-// for worker pools up to a few dozen goroutines, small enough that an
-// idle cache stays cheap.
-const segShards = 32
-
-type segCacheShard struct {
-	mu      sync.RWMutex
-	entries map[string]segEntry
-}
-
-type segEntry struct {
-	iter  float64
-	pre   float64
-	entry float64
-}
-
-// NewSegCache creates an empty segment cache, ready for concurrent
-// use. Shard tables are created lazily on first store, so a private
-// per-estimator cache costs one allocation.
-func NewSegCache() *SegCache { return &SegCache{} }
-
-// shard selects the stripe for a key (inlined FNV-1a over the key
-// bytes; no allocation).
-func (c *SegCache) shard(key string) *segCacheShard {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= prime32
-	}
-	return &c.shards[h%segShards]
-}
-
-// lookup returns the cached entry for key, counting a hit or miss.
-func (c *SegCache) lookup(key string) (segEntry, bool) {
-	s := c.shard(key)
-	s.mu.RLock()
-	ent, ok := s.entries[key]
-	s.mu.RUnlock()
-	if ok {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
-	}
-	return ent, ok
-}
-
-// store records an entry for key.
-func (c *SegCache) store(key string, ent segEntry) {
-	s := c.shard(key)
-	s.mu.Lock()
-	if s.entries == nil {
-		s.entries = map[string]segEntry{}
-	}
-	s.entries[key] = ent
-	s.mu.Unlock()
-}
-
-// Stats reports hits and misses so far. Safe to call concurrently with
-// ongoing estimations.
-func (c *SegCache) Stats() (hits, misses int) {
-	return int(c.hits.Load()), int(c.misses.Load())
-}
-
-// Len reports the number of cached segment entries.
-func (c *SegCache) Len() int {
-	n := 0
-	for i := range c.shards {
-		c.shards[i].mu.RLock()
-		n += len(c.shards[i].entries)
-		c.shards[i].mu.RUnlock()
-	}
-	return n
-}
-
 // Estimator aggregates costs for one program unit on one machine.
 type Estimator struct {
 	tbl *sem.Table
@@ -204,10 +105,12 @@ type Estimator struct {
 	changed [][]int
 	logging bool
 	events  []regEvent
-	machFP  source.Fingerprint // machine content (Machine.Fingerprint)
-	machKey string             // machFP rendered for textual segment keys
-	keyFP   source.Fingerprint // machine + options
-	auxFP   source.Fingerprint // keyFP + whole-program environment
+
+	// SegCache keys: keyFP covers the machine and options, progKey
+	// adds the environment of prog (zero outside a program pricing,
+	// which turns the cache off).
+	keyFP   source.Fingerprint
+	progKey source.Fingerprint
 
 	// ctx is the context of the ProgramCtx call in progress (nil
 	// outside one). work counts the statements and loop units priced
@@ -246,8 +149,8 @@ func New(tbl *sem.Table, m *machine.Machine, opt Options) *Estimator {
 // for a private one).
 //
 // Concurrency contract: the SegCache is safe to share between
-// estimators running on different goroutines — cached segment costs
-// depend only on the segment key, so concurrent fills are idempotent
+// estimators running on different goroutines — cached costs depend
+// only on their keys, so concurrent fills are idempotent
 // and predictions are byte-identical to serial runs. The Estimator
 // returned here, like the one from New, must not itself be used from
 // more than one goroutine at a time.
@@ -258,16 +161,14 @@ func NewWithCache(tbl *sem.Table, m *machine.Machine, opt Options, cache *SegCac
 	if cache == nil {
 		cache = NewSegCache()
 	}
-	mfp := m.Fingerprint()
 	return &Estimator{
-		tbl:     tbl,
-		m:       m,
-		opt:     opt,
-		trans:   lower.New(tbl, m, opt.Lower),
-		seen:    map[symexpr.Var]bool{},
-		cache:   cache,
-		machFP:  mfp,
-		machKey: mfp.String(),
+		tbl:   tbl,
+		m:     m,
+		opt:   opt,
+		trans: lower.New(tbl, m, opt.Lower),
+		seen:  map[symexpr.Var]bool{},
+		cache: cache,
+		keyFP: optionsFingerprint(m.Fingerprint(), opt),
 	}
 }
 
@@ -289,10 +190,8 @@ func (e *Estimator) ProgramCtx(ctx context.Context, p *source.Program) (Result, 
 	e.seen = map[symexpr.Var]bool{}
 	e.events = e.events[:0]
 	e.prog = p
+	e.progKey = e.keyFP.Mix(source.FingerprintEnv(p))
 	e.logging = e.nc != nil && !e.nc.disabled
-	if e.logging {
-		e.auxFP = e.keyFP.Mix(source.FingerprintEnv(p))
-	}
 	c, err := e.stmts(p.Body, nil, []int{})
 	if err != nil {
 		return Result{}, err
@@ -318,12 +217,12 @@ func (e *Estimator) result(c cost) Result {
 
 // Stmts aggregates a statement list under the given enclosing loops
 // (outermost first). Exposed for per-fragment estimates. Fragments
-// carry no program environment, so nest-level caching is suspended for
-// the duration of the call.
+// carry no program environment, so they are priced without the segment
+// and nest caches.
 func (e *Estimator) Stmts(stmts []source.Stmt, loops []LoopCtx) (Result, error) {
-	savedProg, savedLogging, savedChanged := e.prog, e.logging, e.changed
-	e.prog, e.logging, e.changed = nil, false, nil
-	defer func() { e.prog, e.logging, e.changed = savedProg, savedLogging, savedChanged }()
+	savedProg, savedKey, savedLogging, savedChanged := e.prog, e.progKey, e.logging, e.changed
+	e.prog, e.progKey, e.logging, e.changed = nil, source.Fingerprint{}, false, nil
+	defer func() { e.prog, e.progKey, e.logging, e.changed = savedProg, savedKey, savedLogging, savedChanged }()
 	e.preVals = e.preVals[:0]
 	e.unknowns = nil
 	e.seen = map[symexpr.Var]bool{}
@@ -458,27 +357,58 @@ func isStraight(s source.Stmt) bool {
 	}
 }
 
+// memoOn reports whether SegCache lookups are on: only inside a
+// program pricing, and, except for straight segments (seg), not under
+// a counting-mode NestCache.
+func (e *Estimator) memoOn(seg bool) bool {
+	return !e.progKey.IsZero() && (seg || e.nc == nil || !e.nc.disabled)
+}
+
+// key builds a SegCache key: the program key, the entry kind, the
+// structural fingerprint fp of what is priced, and the enclosing loop
+// variables in order (they decide promotion and invariance).
+func (e *Estimator) key(kind uint64, fp source.Fingerprint, loopVars []string) source.Fingerprint {
+	k := e.progKey.MixUint64(kind).Mix(fp).MixUint64(uint64(len(loopVars)))
+	for _, v := range loopVars {
+		k = k.MixString(v)
+	}
+	return k
+}
+
 // straight prices a straight-line segment. Inside loops the
 // steady-state per-iteration cost is used (iterations overlap in the
 // bins); the hoisted preheader cost accumulates into the one-time bin.
 func (e *Estimator) straight(stmts []source.Stmt, loopVars []string, inLoop bool) (cost, error) {
-	key := e.segKey(stmts, loopVars, inLoop)
-	if ent, ok := e.cache.lookup(key); ok {
-		e.addPre(ent.pre)
-		return cost{base: symexpr.Const(ent.iter), entry: symexpr.Const(ent.entry)}, nil
+	on := e.memoOn(true)
+	var key source.Fingerprint
+	if on {
+		key = e.key(kindSeg, source.FingerprintStmts(stmts), loopVars)
 	}
-	lw, err := e.trans.Body(stmts, loopVars)
+	ent, err := memoize(e.cache, on, &e.cache.segs, key, func() (segEntry, error) {
+		return e.priceSegment(stmts, loopVars, inLoop)
+	})
 	if err != nil {
 		return cost{}, err
+	}
+	if ent.pre != 0 {
+		e.addPre(float64(ent.pre))
+	}
+	return cost{base: symexpr.Const(ent.iter), entry: symexpr.Const(float64(ent.entry))}, nil
+}
+
+// priceSegment lowers a straight-line segment and places its blocks.
+func (e *Estimator) priceSegment(stmts []source.Stmt, loopVars []string, inLoop bool) (segEntry, error) {
+	lw, err := e.trans.Body(stmts, loopVars)
+	if err != nil {
+		return segEntry{}, err
 	}
 	ent := segEntry{}
 	if len(lw.Pre.Instrs) > 0 {
 		preRes, err := e.tetEstimate(lw.Pre)
 		if err != nil {
-			return cost{}, err
+			return segEntry{}, err
 		}
-		ent.pre = float64(preRes.Cost)
-		e.addPre(ent.pre)
+		ent.pre = int32(preRes.Cost)
 	}
 	switch {
 	case len(lw.Body.Instrs) == 0:
@@ -493,13 +423,13 @@ func (e *Estimator) straight(stmts []source.Stmt, loopVars []string, inLoop bool
 		}
 		per, err := e.tetSteadyStateChained(lw.Body, e.opt.SteadyStateIters, chain)
 		if err != nil {
-			return cost{}, err
+			return segEntry{}, err
 		}
 		ent.iter = per
 	default:
 		res, err := e.tetEstimate(lw.Body)
 		if err != nil {
-			return cost{}, err
+			return segEntry{}, err
 		}
 		ent.iter = float64(res.Cost)
 	}
@@ -511,25 +441,11 @@ func (e *Estimator) straight(stmts []source.Stmt, loopVars []string, inLoop bool
 		}
 		res, err := e.tetEstimate(blk)
 		if err != nil {
-			return cost{}, err
+			return segEntry{}, err
 		}
-		ent.entry += float64(res.Cost)
+		ent.entry += int32(res.Cost)
 	}
-	e.cache.store(key, ent)
-	return cost{base: symexpr.Const(ent.iter), entry: symexpr.Const(ent.entry)}, nil
-}
-
-// segKey builds a segment-cache key. It is prefixed with the machine's
-// content fingerprint: a SegCache shared across targets (successive
-// batches, multi-target searches) can only hit entries priced for a
-// machine with the identical cost table — name and pointer identity
-// play no part.
-func (e *Estimator) segKey(stmts []source.Stmt, loopVars []string, inLoop bool) string {
-	k := e.machKey + "|" + source.StmtsString(stmts) + "|" + fmt.Sprint(loopVars)
-	if inLoop {
-		k += "|L"
-	}
-	return k
+	return ent, nil
 }
 
 // loop aggregates C(do v = lb, ub, step {B}) = C(lb)+C(ub)+C(step) +
@@ -550,11 +466,11 @@ func (e *Estimator) loop(l *source.DoLoop, loops []LoopCtx, path []int) (cost, e
 		if err != nil {
 			return cost{}, err
 		}
-		if ent.hasIter {
-			boundsCost = boundsCost.AddConst(ent.iter)
+		if ent.iter != 0 {
+			boundsCost = boundsCost.AddConst(float64(ent.iter))
 		}
-		if ent.hasPre {
-			e.addPre(ent.pre)
+		if ent.pre != 0 {
+			e.addPre(float64(ent.pre))
 		}
 	}
 
@@ -735,6 +651,48 @@ func (e *Estimator) restrictedSum(g guardedTerm, v symexpr.Var, lb, ub symexpr.P
 	}
 }
 
+// boundExprCost prices one loop-bound expression: its iterative and
+// hoisted parts.
+func (e *Estimator) boundExprCost(b source.Expr, loopVars []string) (boundsEntry, error) {
+	on := e.memoOn(false)
+	var key source.Fingerprint
+	if on {
+		key = e.key(kindBound, source.FingerprintExpr(b), loopVars)
+	}
+	return memoize(e.cache, on, &e.cache.bounds, key, func() (boundsEntry, error) {
+		lw, err := e.trans.ExprOnly(b, loopVars)
+		if err != nil {
+			return boundsEntry{}, err
+		}
+		var ent boundsEntry
+		if len(lw.Body.Instrs) > 0 {
+			res, err := e.tetEstimate(lw.Body)
+			if err != nil {
+				return boundsEntry{}, err
+			}
+			ent.iter = int32(res.Cost)
+		}
+		if len(lw.Pre.Instrs) > 0 {
+			res, err := e.tetEstimate(lw.Pre)
+			if err != nil {
+				return boundsEntry{}, err
+			}
+			ent.pre = int32(res.Cost)
+		}
+		return ent, nil
+	})
+}
+
+// ctlBase prices the per-iteration loop-control block. The block is a
+// fixed IR sequence, so its cost depends only on the machine and
+// options.
+func (e *Estimator) ctlBase() (float64, error) {
+	return memoize(e.cache, e.memoOn(false), &e.cache.ctls, e.keyFP.MixUint64(kindCtlBase), func() (float64, error) {
+		res, err := e.tetEstimate(lower.LoopOverhead())
+		return float64(res.Cost), err
+	})
+}
+
 // loopOverhead prices the increment/compare/back-branch, hidden under
 // the body's shape where possible.
 func (e *Estimator) loopOverhead(l *source.DoLoop, loopVars []string) (float64, error) {
@@ -742,24 +700,39 @@ func (e *Estimator) loopOverhead(l *source.DoLoop, loopVars []string) (float64, 
 	if err != nil {
 		return 0, err
 	}
-	// The back-branch is covered when the body keeps the non-FXU units
-	// busy past the compare (shape test): approximate with the body's
-	// first straight-line segment shape.
-	if shape, ok := e.shapeFor(l.Body, append(loopVars, l.Var)); ok {
-		uncovered := tetris.BranchCovered(shape, int(base))
-		return float64(uncovered), nil
+	run := leadingRun(l.Body)
+	if len(run) == 0 {
+		return base, nil
 	}
-	return base, nil
+	vars := append(loopVars, l.Var)
+	on := e.memoOn(false)
+	var key source.Fingerprint
+	if on {
+		key = e.key(kindCtl, source.FingerprintStmts(run), vars)
+	}
+	return memoize(e.cache, on, &e.cache.ctls, key, func() (float64, error) {
+		// The back-branch is covered when the body keeps the non-FXU
+		// units busy past the compare (shape test): approximate with
+		// the body's first straight-line segment shape.
+		if shape, ok := e.runShape(run, vars); ok {
+			return float64(tetris.BranchCovered(shape, int(base))), nil
+		}
+		return base, nil
+	})
 }
 
-func (e *Estimator) bodyShape(body []source.Stmt, loopVars []string) (tetris.CostBlock, bool) {
-	var run []source.Stmt
-	for _, s := range body {
-		if !isStraight(s) {
-			break
-		}
-		run = append(run, s)
+// leadingRun returns the straight-line statements a body starts with.
+func leadingRun(body []source.Stmt) []source.Stmt {
+	n := 0
+	for n < len(body) && isStraight(body[n]) {
+		n++
 	}
+	return body[:n]
+}
+
+// runShape is the cost-block shape of a straight-line run; false when
+// the run is empty or lowers to no instructions.
+func (e *Estimator) runShape(run []source.Stmt, loopVars []string) (tetris.CostBlock, bool) {
 	if len(run) == 0 {
 		return tetris.CostBlock{}, false
 	}
@@ -781,33 +754,23 @@ func (e *Estimator) ifStmt(s *source.IfStmt, loops []LoopCtx) (cost, error) {
 	for k, lc := range loops {
 		loopVars[k] = lc.Var
 	}
-	condCost := symexpr.Zero()
-	lw, err := e.trans.Condition(s.Cond, loopVars)
+	runs := [2][]source.Stmt{leadingRun(s.Then), leadingRun(s.Else)}
+	on := e.memoOn(false)
+	var key source.Fingerprint
+	if on {
+		key = e.key(kindCond, source.FingerprintExpr(s.Cond), loopVars).
+			Mix(source.FingerprintStmts(runs[0])).
+			Mix(source.FingerprintStmts(runs[1]))
+	}
+	ce, err := memoize(e.cache, on, &e.cache.conds, key, func() (condEntry, error) {
+		return e.priceCond(s.Cond, loopVars, runs)
+	})
 	if err != nil {
 		return cost{}, err
 	}
-	if len(lw.Pre.Instrs) > 0 {
-		preRes, err := e.tetEstimate(lw.Pre)
-		if err != nil {
-			return cost{}, err
-		}
-		e.addPre(float64(preRes.Cost))
+	if ce.pre != 0 {
+		e.addPre(float64(ce.pre))
 	}
-	condRes, err := e.tetEstimate(lw.Body)
-	if err != nil {
-		return cost{}, err
-	}
-	condVal := float64(condRes.Cost)
-	if len(loops) > 0 && e.opt.SteadyStateIters > 1 {
-		// Repeated evaluations of the condition overlap like any other
-		// straight-line block.
-		per, err := e.tetSteadyState(lw.Body, e.opt.SteadyStateIters)
-		if err != nil {
-			return cost{}, err
-		}
-		condVal = per
-	}
-	condCost = condCost.AddConst(condVal)
 
 	thenCost, err := e.stmts(s.Then, loops, nil)
 	if err != nil {
@@ -818,30 +781,21 @@ func (e *Estimator) ifStmt(s *source.IfStmt, loops []LoopCtx) (cost, error) {
 		return cost{}, err
 	}
 
-	cbr := float64(e.m.BranchCost)
-	// Branch-optimization shape test: a branch whose taken block keeps
-	// the FXU ahead of the FP pipes hides (part of) the penalty.
-	thenShape, thenShapeOK := e.shapeFor(s.Then, loopVars)
-	elseShape, elseShapeOK := e.shapeFor(s.Else, loopVars)
-	if thenShapeOK {
-		cbr = float64(tetris.BranchCovered(thenShape, e.m.BranchCost))
-	}
 	// Figure 9 overlap: the condition block and the selected branch
 	// interlock; credit each constant-cost branch with the shape
 	// overlap, bounded so the combination stays positive.
-	overlapCredit := func(c cost, shape tetris.CostBlock, ok bool) cost {
+	overlapCredit := func(c cost, branch int) cost {
 		base, isConst := c.base.IsConst()
-		if !ok || !isConst || base <= 0 {
+		if ce.saved[branch] == 0 || !isConst || base <= 0 {
 			return c
 		}
-		_, saved := tetris.Concat(condRes.Shape, shape)
-		credit := math.Min(float64(saved), 0.8*base)
+		credit := math.Min(float64(ce.saved[branch]), 0.8*base)
 		c.base = symexpr.Const(base - credit)
 		return c
 	}
-	thenCost = overlapCredit(thenCost, thenShape, thenShapeOK)
-	elseCost = overlapCredit(elseCost, elseShape, elseShapeOK)
-	out := cost{base: condCost.AddConst(cbr)}
+	thenCost = overlapCredit(thenCost, 0)
+	elseCost = overlapCredit(elseCost, 1)
+	out := cost{base: symexpr.Zero().AddConst(ce.cond).AddConst(float64(ce.cbr))}
 	// Per-entry promotion costs of either branch are charged at loop
 	// entry regardless of the branch taken (speculative promotion).
 	out.entry = thenCost.entry.Add(elseCost.entry)
@@ -905,6 +859,50 @@ func (e *Estimator) ifStmt(s *source.IfStmt, loops []LoopCtx) (cost, error) {
 		out.guarded = append(out.guarded, guardedTerm{g.loopVar, g.rel, g.bound, g.poly.Mul(oneMinus)})
 	}
 	return out, nil
+}
+
+// priceCond lowers an IF condition and places it: its hoisted and
+// per-evaluation cost (steady state inside loops, where repeated
+// evaluations overlap like any other straight-line block), the branch
+// penalty left uncovered by the then-branch's leading run (the
+// branch-optimization shape test), and each branch run's overlap with
+// the condition block.
+func (e *Estimator) priceCond(cond source.Expr, loopVars []string, runs [2][]source.Stmt) (condEntry, error) {
+	var ent condEntry
+	lw, err := e.trans.Condition(cond, loopVars)
+	if err != nil {
+		return ent, err
+	}
+	if len(lw.Pre.Instrs) > 0 {
+		preRes, err := e.tetEstimate(lw.Pre)
+		if err != nil {
+			return ent, err
+		}
+		ent.pre = int32(preRes.Cost)
+	}
+	condRes, err := e.tetEstimate(lw.Body)
+	if err != nil {
+		return ent, err
+	}
+	ent.cond = float64(condRes.Cost)
+	if len(loopVars) > 0 && e.opt.SteadyStateIters > 1 {
+		if ent.cond, err = e.tetSteadyState(lw.Body, e.opt.SteadyStateIters); err != nil {
+			return ent, err
+		}
+	}
+	ent.cbr = int32(e.m.BranchCost)
+	for i, run := range runs {
+		shape, ok := e.runShape(run, loopVars)
+		if !ok {
+			continue
+		}
+		if i == 0 {
+			ent.cbr = int32(tetris.BranchCovered(shape, e.m.BranchCost))
+		}
+		_, saved := tetris.Concat(condRes.Shape, shape)
+		ent.saved[i] = int32(saved)
+	}
+	return ent, nil
 }
 
 func closeEnough(a, b, tol float64) bool {

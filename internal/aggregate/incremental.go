@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"perfpredict/internal/ir"
-	"perfpredict/internal/lower"
 	"perfpredict/internal/machine"
 	"perfpredict/internal/sem"
 	"perfpredict/internal/source"
@@ -31,10 +30,7 @@ type Caches struct {
 // predictions remain byte-identical to serial, cache-less runs.
 func NewWithCaches(tbl *sem.Table, m *machine.Machine, opt Options, caches Caches) *Estimator {
 	e := NewWithCache(tbl, m, opt, caches.Seg)
-	if caches.Nest != nil {
-		e.nc = caches.Nest
-		e.keyFP = optionsFingerprint(e.machFP, e.opt)
-	}
+	e.nc = caches.Nest
 	return e
 }
 
@@ -280,14 +276,6 @@ func (e *Estimator) prePoly() symexpr.Poly {
 	return p
 }
 
-// auxActive reports whether the sub-nest memo tables (loop control,
-// shapes, bounds) may be used: they key on the whole-program
-// environment fingerprint, so they require an active cache and a
-// program-level pricing.
-func (e *Estimator) auxActive() bool {
-	return e.nc != nil && !e.nc.disabled && e.prog != nil
-}
-
 // Tetris invocation counters: every placement of a block into the
 // functional bins goes through these wrappers so the nest cache can
 // report how much estimation work a prediction actually performed.
@@ -313,89 +301,4 @@ func (e *Estimator) tetSteadyStateChained(b *ir.Block, iters int, chain map[ir.R
 	e.countTetris()
 	per, _, err := tetris.SteadyStateChained(e.m, b, e.opt.Tetris, iters, chain)
 	return per, err
-}
-
-// ctlBase prices the per-iteration loop-control block. The block is a
-// fixed IR sequence, so its cost depends only on the machine and
-// tetris options: with an active cache it is computed once per search.
-func (e *Estimator) ctlBase() (float64, error) {
-	if e.nc != nil && !e.nc.disabled {
-		if v, ok := e.nc.ctlLookup(e.keyFP); ok {
-			return v, nil
-		}
-	}
-	res, err := e.tetEstimate(lower.LoopOverhead())
-	if err != nil {
-		return 0, err
-	}
-	base := float64(res.Cost)
-	if e.nc != nil && !e.nc.disabled {
-		e.nc.ctlStore(e.keyFP, base)
-	}
-	return base, nil
-}
-
-// shapeFor is bodyShape behind the shape memo table: the cost-block
-// shape of a body's leading straight-line run, keyed by the run's
-// structural fingerprint, the loop-variable context, and the program
-// environment.
-func (e *Estimator) shapeFor(body []source.Stmt, loopVars []string) (tetris.CostBlock, bool) {
-	if !e.auxActive() {
-		return e.bodyShape(body, loopVars)
-	}
-	var run []source.Stmt
-	for _, s := range body {
-		if !isStraight(s) {
-			break
-		}
-		run = append(run, s)
-	}
-	if len(run) == 0 {
-		return tetris.CostBlock{}, false
-	}
-	key := e.auxFP.Mix(source.FingerprintStmts(run)).MixString(fmt.Sprint(loopVars))
-	if ent, ok := e.nc.shapeLookup(key); ok {
-		return ent.shape, ent.ok
-	}
-	shape, ok := e.bodyShape(body, loopVars)
-	e.nc.shapeStore(key, shapeEntry{shape: shape, ok: ok})
-	return shape, ok
-}
-
-// boundExprCost prices one loop-bound expression (its iterative and
-// hoisted parts) behind the bounds memo table.
-func (e *Estimator) boundExprCost(b source.Expr, loopVars []string) (boundsEntry, error) {
-	var key source.Fingerprint
-	aux := e.auxActive()
-	if aux {
-		key = e.auxFP.MixString(source.ExprString(b)).MixString(fmt.Sprint(loopVars))
-		if ent, ok := e.nc.boundsLookup(key); ok {
-			return ent, nil
-		}
-	}
-	lw, err := e.trans.ExprOnly(b, loopVars)
-	if err != nil {
-		return boundsEntry{}, err
-	}
-	var ent boundsEntry
-	if len(lw.Body.Instrs) > 0 {
-		res, err := e.tetEstimate(lw.Body)
-		if err != nil {
-			return boundsEntry{}, err
-		}
-		ent.iter = float64(res.Cost)
-		ent.hasIter = true
-	}
-	if len(lw.Pre.Instrs) > 0 {
-		res, err := e.tetEstimate(lw.Pre)
-		if err != nil {
-			return boundsEntry{}, err
-		}
-		ent.pre = float64(res.Cost)
-		ent.hasPre = true
-	}
-	if aux {
-		e.nc.boundsStore(key, ent)
-	}
-	return ent, nil
 }

@@ -1,11 +1,9 @@
 package aggregate
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"perfpredict/internal/source"
-	"perfpredict/internal/tetris"
 )
 
 // NestCache memoizes whole loop-nest costs across the program variants
@@ -31,53 +29,20 @@ import (
 // misses on one key may both price the nest; the entries they store
 // splice to identical results, so predictions are deterministic
 // regardless of interleaving. Keys are 128-bit structural hashes;
-// collisions are treated as impossible (the same stance the sharded
-// SegCache takes toward its textual keys being canonical).
+// collisions are treated as impossible, as in SegCache.
 type NestCache struct {
 	// disabled makes every lookup a counted miss and every store a
 	// no-op: the estimator then performs exactly the work it would
 	// without a nest cache while still reporting re-pricing and tetris
-	// counters — the baseline side of a before/after measurement.
+	// counters — the baseline side of a before/after measurement. It
+	// also keeps the estimator off every SegCache memo except the
+	// straight-segment entries.
 	disabled bool
 
-	shards [nestShards]nestShard
-	hits   atomic.Int64
-	misses atomic.Int64
-	tetris atomic.Int64
-
-	// aux memoizes the sub-nest pieces that dominate the cost of
-	// re-pricing a nest that *did* change: the constant loop-control
-	// overhead, leading-run cost-block shapes, and loop-bound
-	// evaluation costs. These fire even when the enclosing nest misses.
-	auxMu  sync.RWMutex
-	ctl    map[source.Fingerprint]float64
-	shapes map[source.Fingerprint]shapeEntry
-	bounds map[source.Fingerprint]boundsEntry
-}
-
-const nestShards = 16
-
-type nestShard struct {
-	mu      sync.RWMutex
-	entries map[source.Fingerprint]*nestEntry
-}
-
-// shapeEntry caches one bodyShape result (ok=false marks bodies with
-// no usable leading straight-line run).
-type shapeEntry struct {
-	shape tetris.CostBlock
-	ok    bool
-}
-
-// boundsEntry caches the evaluation cost of one loop-bound expression:
-// the iterative part and the hoisted (preheader) part, with presence
-// flags so the replay performs exactly the operations the original
-// pricing did.
-type boundsEntry struct {
-	iter    float64
-	pre     float64
-	hasIter bool
-	hasPre  bool
+	entries fpTable[*nestEntry]
+	hits    atomic.Int64
+	misses  atomic.Int64
+	tetris  atomic.Int64
 }
 
 // NewNestCache creates an empty nest-level cost cache, ready for
@@ -86,8 +51,9 @@ func NewNestCache() *NestCache { return &NestCache{} }
 
 // NewNestCacheCounting creates a cache in counting mode: it never hits
 // and never stores, but still counts every nest re-pricing and tetris
-// invocation. Estimators using it do exactly the work of cache-less
-// aggregation — the baseline for measuring what an active cache saves.
+// invocation. Estimators using it do exactly the work of aggregation
+// without sub-nest memoization — the baseline for measuring what an
+// active cache saves.
 func NewNestCacheCounting() *NestCache { return &NestCache{disabled: true} }
 
 // Disabled reports whether the cache is in counting (never-hit) mode.
@@ -98,10 +64,7 @@ func (c *NestCache) lookup(k source.Fingerprint) (*nestEntry, bool) {
 		c.misses.Add(1)
 		return nil, false
 	}
-	s := &c.shards[k.Lo%nestShards]
-	s.mu.RLock()
-	ent, ok := s.entries[k]
-	s.mu.RUnlock()
+	ent, ok := c.entries.get(k)
 	if ok {
 		c.hits.Add(1)
 	} else {
@@ -115,64 +78,9 @@ func (c *NestCache) lookup(k source.Fingerprint) (*nestEntry, bool) {
 func (c *NestCache) missDirect() { c.misses.Add(1) }
 
 func (c *NestCache) store(k source.Fingerprint, ent *nestEntry) {
-	if c.disabled {
-		return
+	if !c.disabled {
+		c.entries.put(k, ent)
 	}
-	s := &c.shards[k.Lo%nestShards]
-	s.mu.Lock()
-	if s.entries == nil {
-		s.entries = map[source.Fingerprint]*nestEntry{}
-	}
-	s.entries[k] = ent
-	s.mu.Unlock()
-}
-
-func (c *NestCache) ctlLookup(k source.Fingerprint) (float64, bool) {
-	c.auxMu.RLock()
-	v, ok := c.ctl[k]
-	c.auxMu.RUnlock()
-	return v, ok
-}
-
-func (c *NestCache) ctlStore(k source.Fingerprint, v float64) {
-	c.auxMu.Lock()
-	if c.ctl == nil {
-		c.ctl = map[source.Fingerprint]float64{}
-	}
-	c.ctl[k] = v
-	c.auxMu.Unlock()
-}
-
-func (c *NestCache) shapeLookup(k source.Fingerprint) (shapeEntry, bool) {
-	c.auxMu.RLock()
-	v, ok := c.shapes[k]
-	c.auxMu.RUnlock()
-	return v, ok
-}
-
-func (c *NestCache) shapeStore(k source.Fingerprint, v shapeEntry) {
-	c.auxMu.Lock()
-	if c.shapes == nil {
-		c.shapes = map[source.Fingerprint]shapeEntry{}
-	}
-	c.shapes[k] = v
-	c.auxMu.Unlock()
-}
-
-func (c *NestCache) boundsLookup(k source.Fingerprint) (boundsEntry, bool) {
-	c.auxMu.RLock()
-	v, ok := c.bounds[k]
-	c.auxMu.RUnlock()
-	return v, ok
-}
-
-func (c *NestCache) boundsStore(k source.Fingerprint, v boundsEntry) {
-	c.auxMu.Lock()
-	if c.bounds == nil {
-		c.bounds = map[source.Fingerprint]boundsEntry{}
-	}
-	c.bounds[k] = v
-	c.auxMu.Unlock()
 }
 
 // Stats reports nest-level hits and misses so far; misses count nests
@@ -188,12 +96,4 @@ func (c *NestCache) Stats() (hits, misses int) {
 func (c *NestCache) TetrisCalls() int { return int(c.tetris.Load()) }
 
 // Len reports the number of cached nest entries.
-func (c *NestCache) Len() int {
-	n := 0
-	for i := range c.shards {
-		c.shards[i].mu.RLock()
-		n += len(c.shards[i].entries)
-		c.shards[i].mu.RUnlock()
-	}
-	return n
-}
+func (c *NestCache) Len() int { return c.entries.len() }

@@ -23,8 +23,15 @@ import (
 // machines built by separate registry lookups share freely.
 //
 // The hash is the two-lane FNV scheme of source.Fingerprint; the
-// "machine/v1" tag domain-separates it from AST fingerprints.
+// "machine/v1" tag domain-separates it from AST fingerprints. It is
+// computed on the first call and memoized, which is why a machine must
+// not change after its first use. Safe for concurrent use.
 func (m *Machine) Fingerprint() source.Fingerprint {
+	m.fpOnce.Do(func() { m.fp = m.fingerprint() })
+	return m.fp
+}
+
+func (m *Machine) fingerprint() source.Fingerprint {
 	fp := source.Fingerprint{}.MixString("machine/v1").MixString(m.Name)
 	fp = fp.MixUint64(uint64(m.DispatchWidth))
 	var flags uint64

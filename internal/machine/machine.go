@@ -9,8 +9,10 @@ package machine
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"perfpredict/internal/ir"
+	"perfpredict/internal/source"
 )
 
 // UnitKind names a class of functional unit.
@@ -88,6 +90,12 @@ func (a AtomicOp) Units() []UnitKind {
 // Machine is an architecture description. The cost model, the
 // instruction translation module and the reference pipeline simulator
 // all read the same table, but use it independently.
+//
+// A Machine must not be mutated after its first use: Fingerprint is
+// computed once and memoized, and every cost cache keys on it. Build
+// variants before use, or from a fresh value (constructors, Spec.Machine
+// and registry lookups all return one). A Machine is not copied by
+// value.
 type Machine struct {
 	Name string
 	// UnitCounts gives the number of identical pipes of each kind
@@ -117,6 +125,9 @@ type Machine struct {
 	// machine prices every load as an L1 hit. When set, aggregation
 	// folds the symbolic §2.3 miss cost into each top-level nest.
 	Memory *MemoryHierarchy
+
+	fpOnce sync.Once
+	fp     source.Fingerprint
 }
 
 // Units returns the unit instances of the machine in a stable order,

@@ -190,10 +190,10 @@ func (s *Server) initMetrics() {
 		"API requests currently admitted and executing.",
 		func() float64 { return float64(s.inflight.Load()) })
 	s.metrics.GaugeFunc("predictd_seg_cache_hits",
-		"Cumulative hits in the shared straight-line segment cost cache.",
+		"Cumulative hits in the shared segment cost cache (segments, loop bounds, loop control, IF conditions).",
 		func() float64 { h, _ := s.seg.Stats(); return float64(h) })
 	s.metrics.GaugeFunc("predictd_seg_cache_misses",
-		"Cumulative misses in the shared straight-line segment cost cache.",
+		"Cumulative misses in the shared segment cost cache (segments, loop bounds, loop control, IF conditions).",
 		func() float64 { _, m := s.seg.Stats(); return float64(m) })
 	s.metrics.GaugeFunc("predictd_nest_cache_hits",
 		"Cumulative hits in the shared loop-nest cost cache.",

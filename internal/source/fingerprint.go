@@ -249,6 +249,14 @@ func (w *fpWriter) dist(d *Distribute) {
 	}
 }
 
+// FingerprintExpr hashes one expression tree (nil hashes like the
+// absent step of a DO loop).
+func FingerprintExpr(e Expr) Fingerprint {
+	w := newFPWriter()
+	w.expr(e)
+	return w.f
+}
+
 // FingerprintStmt hashes one statement subtree.
 func FingerprintStmt(s Stmt) Fingerprint {
 	w := newFPWriter()

@@ -161,3 +161,31 @@ end
 		t.Error("referenced declaration type change not reflected in filtered env fingerprint")
 	}
 }
+
+// TestFingerprintExpr: an expression hashes the same wherever its tree
+// came from, differs on any operand or operator, and is not confused
+// with the statement that contains it.
+func TestFingerprintExpr(t *testing.T) {
+	a := fpMustParse(t, fpBase)
+	b := fpMustParse(t, fpReformatted)
+	la, lb := a.Body[0].(*DoLoop), b.Body[0].(*DoLoop)
+	if FingerprintExpr(la.Ub) != FingerprintExpr(lb.Ub) {
+		t.Error("formatting changed a bound's fingerprint")
+	}
+	n := &VarRef{Name: "n"}
+	plus := &BinExpr{Kind: BinAdd, L: n, R: &NumLit{Value: 1}}
+	minus := &BinExpr{Kind: BinSub, L: n, R: &NumLit{Value: 1}}
+	if FingerprintExpr(plus) == FingerprintExpr(minus) {
+		t.Error("n+1 and n-1 hash equal")
+	}
+	if FingerprintExpr(n) == FingerprintExpr(&VarRef{Name: "m"}) {
+		t.Error("distinct names hash equal")
+	}
+	if FingerprintExpr(nil) == FingerprintExpr(&NumLit{Value: 0}) {
+		t.Error("nil and a literal hash equal")
+	}
+	asg := &Assign{LHS: n, RHS: plus}
+	if FingerprintExpr(plus) == FingerprintStmt(asg) {
+		t.Error("an expression hashes like the statement holding it")
+	}
+}

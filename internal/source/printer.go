@@ -42,8 +42,8 @@ func PrintProgram(p *Program) string {
 	return b.String()
 }
 
-// StmtsString renders a statement list (used as a structural cache key
-// by the incremental cost estimator).
+// StmtsString renders a statement list in source form, without the
+// enclosing program lines.
 func StmtsString(stmts []Stmt) string {
 	var b strings.Builder
 	printStmts(&b, stmts, 0)

@@ -94,3 +94,39 @@ func TestOptimizeTetrisReduction(t *testing.T) {
 		}
 	}
 }
+
+// TestSearchTetrisCallCounts pins the exact number of tetris
+// invocations a search performs on the figure programs, with and
+// without the nest cache. The counts are deterministic (one worker),
+// so any change to what the pricing memos cover shows up here as a
+// changed number, not as a slower benchmark.
+func TestSearchTetrisCallCounts(t *testing.T) {
+	want := map[string][2]int{ // {counting mode, nest cache}
+		"f2":     {926, 112},
+		"f6":     {924, 109},
+		"matmul": {1882, 205},
+	}
+	for _, kn := range []string{"f2", "f6", "matmul"} {
+		k, err := kernels.Get(kn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, _, err := k.Parse()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, disable := range []bool{true, false} {
+			res, err := xform.Search(prog, xform.SearchOptions{
+				Machine:          machine.NewPOWER1(),
+				DisableNestCache: disable,
+				Workers:          1,
+			})
+			if err != nil {
+				t.Fatalf("%s disable=%v: %v", kn, disable, err)
+			}
+			if res.TetrisCalls != want[kn][i] {
+				t.Errorf("%s disable=%v: %d tetris calls, want %d", kn, disable, res.TetrisCalls, want[kn][i])
+			}
+		}
+	}
+}
